@@ -33,7 +33,11 @@ RdnsDatabase::GroupByPtrName(
   std::map<std::string, std::vector<net::IpAddress>> groups;
   for (const auto& address : addresses) {
     if (auto target = Lookup(address)) {
-      groups[target->ToKey()].push_back(address);
+      // Lowercased presentation form: groups case variants together and
+      // keeps the report's lexicographic order.
+      std::string key = target->ToString();
+      for (char& c : key) c = dns::AsciiLower(c);
+      groups[std::move(key)].push_back(address);
     }
   }
   return groups;

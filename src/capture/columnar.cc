@@ -188,7 +188,7 @@ std::vector<std::uint8_t> EncodeColumnar(const CaptureBuffer& records) {
       src_dict;
   std::vector<const net::IpAddress*> src_order;
   // Keyed on the Name itself (cached hash, case-insensitive equality), so
-  // building the dictionary never constructs a ToKey() string.
+  // building the dictionary never constructs a string key.
   std::unordered_map<dns::Name, std::uint64_t, dns::NameHash, dns::NameEqual>
       qname_dict;
   std::vector<const dns::Name*> qname_order;

@@ -268,10 +268,25 @@ std::string Name::ToString() const {
   return out;
 }
 
-std::string Name::ToKey() const {
-  std::string key = ToString();
-  for (char& c : key) c = AsciiLower(c);
-  return key;
+std::uint64_t PresentationHash(const Name& name, std::uint64_t seed) {
+  std::uint64_t h = seed;
+  auto mix = [&h](std::uint8_t c) {
+    h ^= c;
+    h *= 1099511628211ull;
+  };
+  if (name.IsRoot()) {
+    mix('.');
+    return h;
+  }
+  const std::uint8_t* p = name.FlatData();
+  for (std::size_t i = 0; i < name.LabelCount(); ++i) {
+    if (i > 0) mix('.');
+    for (std::uint8_t j = 1; j <= *p; ++j) {
+      mix(LowerByte(p[j]));
+    }
+    p += 1 + *p;
+  }
+  return h;
 }
 
 }  // namespace clouddns::dns

@@ -125,9 +125,6 @@ class Name {
   /// Presentation format without trailing dot ("example.nl"); root is ".".
   [[nodiscard]] std::string ToString() const;
 
-  /// Lowercased presentation form, for use as a canonical map key.
-  [[nodiscard]] std::string ToKey() const;
-
   friend bool operator==(const Name& a, const Name& b) { return a.Equals(b); }
   friend bool operator<(const Name& a, const Name& b) {
     return a.Compare(b) < 0;
@@ -188,6 +185,14 @@ class Name::Builder {
  private:
   Name name_;
 };
+
+/// FNV-1a over the lowercased presentation form ("www.example.nl"; the
+/// root is "."), continuing from `seed`. Streams the flat label bytes, so
+/// it equals hashing the presentation string without building one. The
+/// mock DNSSEC material and the leaf services' synthetic addresses are
+/// derived from it.
+[[nodiscard]] std::uint64_t PresentationHash(const Name& name,
+                                             std::uint64_t seed);
 
 struct NameHash {
   std::size_t operator()(const Name& name) const noexcept {

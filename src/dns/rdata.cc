@@ -1,6 +1,7 @@
 #include "dns/rdata.h"
 
 #include <algorithm>
+#include <array>
 
 namespace clouddns::dns {
 namespace {
@@ -164,17 +165,15 @@ bool DecodeRdata(RrType type, std::uint16_t rdlength, WireReader& reader,
   switch (type) {
     case RrType::kA: {
       if (rdlength != 4) return false;
-      std::vector<std::uint8_t> b;
-      if (!reader.ReadBytes(4, b)) return false;
-      out = ARdata{net::Ipv4Address::FromBytes({b[0], b[1], b[2], b[3]})};
+      std::array<std::uint8_t, 4> bytes;
+      if (!reader.ReadBytes(bytes.size(), bytes.data())) return false;
+      out = ARdata{net::Ipv4Address::FromBytes(bytes)};
       return true;
     }
     case RrType::kAaaa: {
       if (rdlength != 16) return false;
-      std::vector<std::uint8_t> b;
-      if (!reader.ReadBytes(16, b)) return false;
       net::Ipv6Address::Bytes bytes;
-      std::copy(b.begin(), b.end(), bytes.begin());
+      if (!reader.ReadBytes(bytes.size(), bytes.data())) return false;
       out = AaaaRdata{net::Ipv6Address(bytes)};
       return true;
     }

@@ -98,6 +98,8 @@ class WireReader {
   [[nodiscard]] bool ReadU32(std::uint32_t& value);
   [[nodiscard]] bool ReadBytes(std::size_t count,
                                std::vector<std::uint8_t>& out);
+  /// Reads exactly `count` bytes into caller-owned fixed storage.
+  [[nodiscard]] bool ReadBytes(std::size_t count, std::uint8_t* out);
 
   /// Reads a (possibly compressed) name starting at the cursor. Follows
   /// pointers with a hop limit so crafted loops cannot hang the parser.

@@ -104,7 +104,7 @@ RecursiveResolver::Result RecursiveResolver::Resolve(const dns::Name& qname,
     failure.expires_at =
         now + std::min<sim::TimeUs>(config_.servfail_cache_ttl,
                                     300ull * sim::kMicrosPerSecond);
-    cache_.Put(qname, qtype, failure);
+    cache_.Put(qname, qtype, std::move(failure));
   }
   return result;
 }
@@ -172,9 +172,10 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
       return result;
     }
 
-    Upstream reply = Send(*zone, q_name, q_type, now, budget);
-    if (!reply.ok) return result;  // SERVFAIL
-    const dns::Message& response = reply.response;
+    dns::Message& response = ReplySlot(depth);
+    if (!Send(*zone, q_name, q_type, now, budget, response)) {
+      return result;  // SERVFAIL
+    }
 
     if (response.header.rcode == dns::Rcode::kNxDomain) {
       // A minimized intermediate NXDOMAIN proves the full name cannot
@@ -251,9 +252,9 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
         answer.rcode = dns::Rcode::kNoError;
         answer.records = response.answers;
         answer.expires_at = now + PositiveTtlFrom(response.answers);
-        cache_.Put(qname, qtype, answer);
         result.rcode = dns::Rcode::kNoError;
         result.records = response.answers;
+        cache_.Put(qname, qtype, std::move(answer));
         return result;
       }
       // Intermediate minimized NS answered positively: the label exists;
@@ -267,7 +268,7 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
       CachedAnswer answer;
       answer.rcode = dns::Rcode::kNoError;
       answer.expires_at = now + NegativeTtlFrom(response);
-      cache_.Put(qname, qtype, answer);
+      cache_.Put(qname, qtype, std::move(answer));
       result.rcode = dns::Rcode::kNoError;
       return result;
     }
@@ -276,13 +277,18 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
   return result;
 }
 
-RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
-                                                    const dns::Name& qname,
-                                                    dns::RrType qtype,
-                                                    sim::TimeUs now,
-                                                    int& budget) {
-  Upstream failure;
-  if (budget <= 0) return failure;
+dns::Message& RecursiveResolver::ReplySlot(int depth) {
+  const auto index = static_cast<std::size_t>(depth);
+  while (reply_slots_.size() <= index) {
+    reply_slots_.push_back(std::make_unique<dns::Message>());
+  }
+  return *reply_slots_[index];
+}
+
+bool RecursiveResolver::Send(ZoneEntry& zone, const dns::Name& qname,
+                             dns::RrType qtype, sim::TimeUs now, int& budget,
+                             dns::Message& reply) {
+  if (budget <= 0) return false;
 
   // Pick the egress host FIRST (uniform over the frontend pool), then let
   // the host's capabilities decide the family: single-stack hosts have no
@@ -298,7 +304,7 @@ RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
     can_v6 = candidate.v6.has_value() && !zone.v6_addresses.empty();
     if (can_v4 || can_v6) host = &candidate;
   }
-  if (host == nullptr) return failure;
+  if (host == nullptr) return false;
 
   auto estimate = [this, &host](const net::IpAddress& addr) {
     auto it = srtt_.find(SrttKey(host->site, addr));
@@ -429,31 +435,29 @@ RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
           }
         }
 
-        Upstream ok;
         if (!dns::Message::DecodeInto(sent.response.data(),
-                                      sent.response.size(), ok.response) ||
-            ok.response.header.id != query.header.id) {
-          return failure;
+                                      sent.response.size(), reply) ||
+            reply.header.id != query.header.id) {
+          return false;
         }
-        if (ok.response.header.tc) {
+        if (reply.header.tc) {
           // Truncated UDP answer: retry over TCP (RFC 1035 §4.2.2). This
           // is also the RRL "slip" recovery path.
-          if (budget <= 0) return failure;
+          if (budget <= 0) return false;
           --budget;
           ++upstream_total_;
           network_->Query(src, host->site, *server, dns::Transport::kTcp,
                           wire, now + elapsed, sent);
-          if (!sent.delivered()) return failure;
+          if (!sent.delivered()) return false;
           if (!dns::Message::DecodeInto(sent.response.data(),
-                                        sent.response.size(), ok.response) ||
-              ok.response.header.id != query.header.id) {
-            return failure;
+                                        sent.response.size(), reply) ||
+              reply.header.id != query.header.id) {
+            return false;
           }
         }
-        ok.ok = true;
-        return ok;
+        return true;
       }
-      if (!sent.timed_out()) return failure;  // no route / server dropped
+      if (!sent.timed_out()) return false;  // no route / server dropped
 
       // Lost query, lost response, or withdrawn site: wait out the RTO,
       // then retransmit with Karn backoff until this server's attempts or
@@ -469,7 +473,7 @@ RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
     PenalizeSrtt(srtt_key);
 
     if (failover >= config_.retry.max_failovers || budget <= 0) {
-      return failure;
+      return false;
     }
     // NS-set failover: try the lowest-SRTT candidate not yet attempted
     // (the penalty above keeps dead servers at the back of the line for
@@ -484,7 +488,7 @@ RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
         next_srtt = e;
       }
     }
-    if (next == nullptr) return failure;  // whole NS set unresponsive
+    if (next == nullptr) return false;  // whole NS set unresponsive
     ++failover_total_;
     current = next;
   }
@@ -519,6 +523,18 @@ ZoneEntry RecursiveResolver::ZoneFromReferral(const dns::Message& response,
                                               sim::TimeUs now) const {
   ZoneEntry entry;
   entry.apex = cut;
+  // Count first so each of the three vectors allocates exactly once.
+  std::size_t ns_count = 0, v4_count = 0, v6_count = 0;
+  for (const auto& rr : response.authorities) {
+    ns_count += rr.type == dns::RrType::kNs && rr.name.Equals(cut);
+  }
+  for (const auto& rr : response.additionals) {
+    v4_count += rr.type == dns::RrType::kA;
+    v6_count += rr.type == dns::RrType::kAaaa;
+  }
+  entry.ns_names.reserve(ns_count);
+  entry.v4_addresses.reserve(v4_count);
+  entry.v6_addresses.reserve(v6_count);
   std::uint32_t ns_ttl = 3600;
   for (const auto& rr : response.authorities) {
     if (rr.type == dns::RrType::kNs && rr.name.Equals(cut)) {
@@ -585,10 +601,12 @@ void RecursiveResolver::FetchDsIfNeeded(ZoneEntry& parent, ZoneEntry& child,
     child.ds = ZoneEntry::Ds::kAbsent;
     return;
   }
-  Upstream reply = Send(parent, child.apex, dns::RrType::kDs, now, budget);
-  if (!reply.ok) return;  // leave unknown; retried on next descent
+  dns::Message& reply = fetch_reply_;
+  if (!Send(parent, child.apex, dns::RrType::kDs, now, budget, reply)) {
+    return;  // leave unknown; retried on next descent
+  }
   bool present = false;
-  for (const auto& rr : reply.response.answers) {
+  for (const auto& rr : reply.answers) {
     if (rr.type == dns::RrType::kDs) {
       present = true;
       break;
@@ -601,10 +619,12 @@ void RecursiveResolver::FetchDnskeyIfNeeded(ZoneEntry& zone, sim::TimeUs now,
                                             int& budget) {
   if (zone.ds != ZoneEntry::Ds::kPresent) return;
   if (zone.dnskey_expires_at > now) return;
-  Upstream reply = Send(zone, zone.apex, dns::RrType::kDnskey, now, budget);
-  if (!reply.ok) return;
+  dns::Message& reply = fetch_reply_;
+  if (!Send(zone, zone.apex, dns::RrType::kDnskey, now, budget, reply)) {
+    return;
+  }
   std::uint32_t ttl = 3600;
-  for (const auto& rr : reply.response.answers) {
+  for (const auto& rr : reply.answers) {
     if (rr.type == dns::RrType::kDnskey) ttl = rr.ttl;
   }
   zone.dnskey_expires_at =

@@ -15,6 +15,7 @@
 //     misconfiguration event in Fig. 3b).
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -144,13 +145,11 @@ class RecursiveResolver {
       CLOUDDNS_LIFETIMEBOUND {
     return nsec_cache_;
   }
+  [[nodiscard]] const InfraCache& infra_cache() const CLOUDDNS_LIFETIMEBOUND {
+    return infra_;
+  }
 
  private:
-  struct Upstream {
-    bool ok = false;
-    dns::Message response;
-  };
-
   [[nodiscard]] bool QminActive(sim::TimeUs now) const {
     return config_.qname_minimization && now >= config_.qmin_enabled_at;
   }
@@ -159,9 +158,14 @@ class RecursiveResolver {
                          sim::TimeUs now, int& budget, int depth);
 
   /// Sends one upstream query to the given zone's servers (with family and
-  /// server selection, EDNS, and TCP retry on truncation).
-  Upstream Send(ZoneEntry& zone, const dns::Name& qname, dns::RrType qtype,
-                sim::TimeUs now, int& budget);
+  /// server selection, EDNS, and TCP retry on truncation) and decodes the
+  /// answer into `reply`, a resolver-owned slot. False when no usable
+  /// answer arrived; `reply` is then unspecified.
+  bool Send(ZoneEntry& zone, const dns::Name& qname, dns::RrType qtype,
+            sim::TimeUs now, int& budget, dns::Message& reply);
+
+  /// The reply slot of one recursion depth, created on first use.
+  dns::Message& ReplySlot(int depth);
 
   /// Ensures addresses for a zone's nameservers, chasing glueless NS
   /// targets through full resolution (depth-limited, cycle-detected).
@@ -228,10 +232,21 @@ class RecursiveResolver {
     const net::IpAddress* v4 = nullptr;
     const net::IpAddress* v6 = nullptr;
   };
+  /// Decoded upstream replies, reused across exchanges so their section
+  /// vectors keep capacity. A reply stays in use while ResolveInternal
+  /// recurses (a glueless chase, DS/DNSKEY fetches), so each recursion
+  /// depth owns one slot, created the first time that depth is reached;
+  /// the Fetch* helpers, which read their reply before anything else is
+  /// sent, share one more. A slot is overwritten only by the next send at
+  /// its own depth.
+  std::vector<std::unique_ptr<dns::Message>> reply_slots_;
+  dns::Message fetch_reply_;
   /// Scratch state reused across Send calls (Send never recurses): the
   /// query message and its encoding, the network exchange result, and the
   /// server-selection working sets. Their capacity survives between
-  /// upstream exchanges, so the steady-state send path does not allocate.
+  /// upstream exchanges; what still allocates per send is decoded rdata
+  /// that owns bytes (RRSIG signatures, DNSKEY keys, DS digests) and
+  /// names longer than dns::Name's inline capacity.
   dns::Message query_msg_;
   dns::WireBuffer query_wire_;
   sim::Network::SendResult send_scratch_;

@@ -10,8 +10,9 @@ namespace {
 // real signed zones; the root's long TTL is what makes aggressive caching
 // there so effective.
 std::uint32_t NegativeTtlOf(const zone::Zone& zone) {
-  if (const auto* soa_set = zone.Find(zone.apex(), dns::RrType::kSoa)) {
-    return std::get<dns::SoaRdata>(soa_set->front().rdata).minimum;
+  const auto soa_set = zone.Find(zone.apex(), dns::RrType::kSoa);
+  if (!soa_set.empty()) {
+    return std::get<dns::SoaRdata>(soa_set.front().rdata).minimum;
   }
   return 600;
 }
@@ -85,9 +86,7 @@ const zone::Zone* AuthServer::BestZoneFor(const dns::Name& qname) const {
 void AuthServer::AttachRrsigs(const zone::Zone& zone, const dns::Name& owner,
                               dns::RrType covered,
                               std::vector<dns::ResourceRecord>& section) const {
-  const auto* sigs = zone.Find(owner, dns::RrType::kRrsig);
-  if (sigs == nullptr) return;
-  for (const auto& sig : *sigs) {
+  for (const auto& sig : zone.Find(owner, dns::RrType::kRrsig)) {
     const auto& rdata = std::get<dns::RrsigRdata>(sig.rdata);
     if (rdata.type_covered == static_cast<std::uint16_t>(covered)) {
       section.push_back(sig);
@@ -119,11 +118,18 @@ void AuthServer::RespondInto(const dns::Message& query,
     return;
   }
 
-  zone::LookupResult result = zone->Lookup(question.name, question.type);
+  // The lookup borrows the zone's RRsets; they are appended into the
+  // scratch response's sections, whose capacity survives across packets.
+  const zone::LookupResult result =
+      zone->Lookup(question.name, question.type);
+  auto append = [](std::vector<dns::ResourceRecord>& section,
+                   std::span<const dns::ResourceRecord> rrset) {
+    section.insert(section.end(), rrset.begin(), rrset.end());
+  };
   switch (result.status) {
     case zone::LookupStatus::kAnswer:
       response.header.aa = true;
-      response.answers = std::move(result.records);
+      append(response.answers, result.records);
       if (want_dnssec && zone->IsSigned() && !response.answers.empty()) {
         AttachRrsigs(*zone, question.name, response.answers.front().type,
                      response.answers);
@@ -131,20 +137,20 @@ void AuthServer::RespondInto(const dns::Message& query,
       break;
     case zone::LookupStatus::kDelegation:
       response.header.aa = false;
-      response.authorities = std::move(result.records);
+      append(response.authorities, result.records);
       if (want_dnssec) {
-        for (auto& ds : result.ds) response.authorities.push_back(ds);
+        append(response.authorities, result.ds);
         if (zone->IsSigned() && !result.ds.empty()) {
-          AttachRrsigs(*zone, result.cut, dns::RrType::kDs,
+          AttachRrsigs(*zone, *result.cut, dns::RrType::kDs,
                        response.authorities);
         }
       }
-      response.additionals = std::move(result.glue);
+      zone->AppendGlue(result, response.additionals);
       break;
     case zone::LookupStatus::kNxDomain:
       response.header.aa = true;
       response.header.rcode = dns::Rcode::kNxDomain;
-      response.authorities = std::move(result.soa);
+      append(response.authorities, result.soa);
       if (want_dnssec && zone->IsSigned()) {
         AttachRrsigs(*zone, zone->apex(), dns::RrType::kSoa,
                      response.authorities);
@@ -153,7 +159,7 @@ void AuthServer::RespondInto(const dns::Message& query,
       break;
     case zone::LookupStatus::kNoData:
       response.header.aa = true;
-      response.authorities = std::move(result.soa);
+      append(response.authorities, result.soa);
       if (want_dnssec && zone->IsSigned()) {
         AttachRrsigs(*zone, zone->apex(), dns::RrType::kSoa,
                      response.authorities);
@@ -188,21 +194,21 @@ dns::Message AuthServer::RespondAxfr(const dns::Message& query,
     response.header.rcode = dns::Rcode::kRefused;  // not authoritative
     return response;
   }
-  const auto* soa = zone->Find(apex, dns::RrType::kSoa);
-  if (soa == nullptr || soa->empty()) {
+  const auto soa = zone->Find(apex, dns::RrType::kSoa);
+  if (soa.empty()) {
     response.header.rcode = dns::Rcode::kServFail;
     return response;
   }
   // RFC 5936 framing: SOA, every other record, SOA.
   response.header.aa = true;
-  response.answers.push_back(soa->front());
+  response.answers.push_back(soa.front());
   for (const auto& name : zone->Names()) {
     for (const auto& rr : zone->RecordsAt(name)) {
       if (rr.type == dns::RrType::kSoa) continue;
       response.answers.push_back(rr);
     }
   }
-  response.answers.push_back(soa->front());
+  response.answers.push_back(soa.front());
   return response;
 }
 

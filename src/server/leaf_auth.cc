@@ -7,28 +7,7 @@ namespace clouddns::server {
 namespace {
 
 std::uint64_t NameHash(const dns::Name& name) {
-  // FNV-1a over the lowercased presentation form ("www.example.nl", root
-  // is "."), streamed straight off the flat label bytes so no ToKey()
-  // string is built. The dot separators are hashed explicitly to keep the
-  // synthetic addresses identical to the original key-based hash.
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](char c) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  };
-  if (name.IsRoot()) {
-    mix('.');
-    return h;
-  }
-  const std::uint8_t* p = name.FlatData();
-  for (std::size_t i = 0; i < name.LabelCount(); ++i) {
-    if (i > 0) mix('.');
-    for (std::uint8_t j = 1; j <= *p; ++j) {
-      mix(dns::AsciiLower(static_cast<char>(p[j])));
-    }
-    p += 1 + *p;
-  }
-  return h;
+  return dns::PresentationHash(name, 1469598103934665603ull);
 }
 
 }  // namespace

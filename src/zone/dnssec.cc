@@ -1,6 +1,6 @@
 #include "zone/dnssec.h"
 
-#include <unordered_set>
+#include <span>
 
 #include "base/threads.h"
 
@@ -37,18 +37,20 @@ std::vector<std::uint8_t> HashBytes(std::uint64_t h, std::size_t n) {
 }  // namespace
 
 std::uint16_t ZskTagFor(const dns::Name& zone_apex) {
-  return static_cast<std::uint16_t>(Fnv1a(zone_apex.ToKey(), kZskSeed));
+  return static_cast<std::uint16_t>(
+      dns::PresentationHash(zone_apex, kZskSeed));
 }
 
 std::uint16_t KskTagFor(const dns::Name& zone_apex) {
-  return static_cast<std::uint16_t>(Fnv1a(zone_apex.ToKey(), kKskSeed));
+  return static_cast<std::uint16_t>(
+      dns::PresentationHash(zone_apex, kKskSeed));
 }
 
 std::vector<std::uint8_t> MockSignature(const dns::Name& signer,
                                         const dns::Name& owner,
                                         dns::RrType type) {
-  std::uint64_t h = Fnv1a(signer.ToKey(), kSigSeed);
-  h = Fnv1a(owner.ToKey(), h);
+  std::uint64_t h = dns::PresentationHash(signer, kSigSeed);
+  h = dns::PresentationHash(owner, h);
   h = Fnv1a(ToString(type), h);
   return HashBytes(h, 256);  // RSA-2048 signature size
 }
@@ -60,7 +62,7 @@ std::vector<dns::ResourceRecord> MakeApexDnskeys(const dns::Name& zone_apex,
     key.flags = flags;
     key.protocol = 3;
     key.algorithm = kMockAlgorithm;
-    key.public_key = HashBytes(Fnv1a(zone_apex.ToKey(), seed), 256);
+    key.public_key = HashBytes(dns::PresentationHash(zone_apex, seed), 256);
     return dns::ResourceRecord{zone_apex, dns::RrType::kDnskey,
                                dns::RrClass::kIn, ttl, std::move(key)};
   };
@@ -72,7 +74,7 @@ dns::ResourceRecord MakeDs(const dns::Name& child_apex, std::uint32_t ttl) {
   ds.key_tag = KskTagFor(child_apex);
   ds.algorithm = kMockAlgorithm;
   ds.digest_type = 2;  // SHA-256
-  ds.digest = HashBytes(Fnv1a(child_apex.ToKey(), kKskSeed), 32);
+  ds.digest = HashBytes(dns::PresentationHash(child_apex, kKskSeed), 32);
   return dns::ResourceRecord{child_apex, dns::RrType::kDs, dns::RrClass::kIn,
                              ttl, std::move(ds)};
 }
@@ -88,15 +90,16 @@ void SignZone(Zone& zone, std::uint32_t dnskey_ttl) {
     dns::RrType type;
     std::uint32_t ttl;
   };
+  // One target per (owner, type): an owner's records are grouped by type,
+  // so a repeat of the type just seen is the same RRset.
   std::vector<Target> targets;
-  std::unordered_set<std::string> seen;
   for (const auto& name : zone.Names()) {
-    for (const auto& rr : zone.RecordsAt(name)) {
+    const std::span<const dns::ResourceRecord> records = zone.RecordsAt(name);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const dns::ResourceRecord& rr = records[i];
       if (rr.type == dns::RrType::kRrsig) continue;
-      std::string key = rr.name.ToKey() + "/" + std::string(ToString(rr.type));
-      if (seen.insert(std::move(key)).second) {
-        targets.push_back({rr.name, rr.type, rr.ttl});
-      }
+      if (i > 0 && records[i - 1].type == rr.type) continue;
+      targets.push_back({rr.name, rr.type, rr.ttl});
     }
   }
   // Signature computation is pure (a function of signer/owner/type alone),
@@ -138,7 +141,8 @@ bool VerifyRrsig(const dns::RrsigRdata& sig, const dns::Name& owner,
 
 bool VerifyDsMatchesKey(const dns::DsRdata& ds, const dns::Name& child_apex) {
   return ds.key_tag == KskTagFor(child_apex) &&
-         ds.digest == HashBytes(Fnv1a(child_apex.ToKey(), kKskSeed), 32);
+         ds.digest ==
+             HashBytes(dns::PresentationHash(child_apex, kKskSeed), 32);
 }
 
 }  // namespace clouddns::zone

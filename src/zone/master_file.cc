@@ -581,7 +581,8 @@ std::string ToMasterFile(const Zone& zone) {
   };
 
   for (const auto& name : names) {
-    auto records = zone.RecordsAt(name);
+    const auto at = zone.RecordsAt(name);
+    std::vector<dns::ResourceRecord> records(at.begin(), at.end());
     // SOA first at the apex.
     std::stable_partition(records.begin(), records.end(),
                           [](const dns::ResourceRecord& rr) {

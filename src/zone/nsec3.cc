@@ -147,15 +147,15 @@ void AddNsec3Chain(Zone& zone, const Nsec3ChainConfig& config) {
 
 const dns::ResourceRecord* FindCoveringNsec3(const Zone& zone,
                                              const dns::Name& qname) {
-  const auto* params = zone.Find(zone.apex(), dns::RrType::kNsec3Param);
-  if (params == nullptr || params->empty()) return nullptr;
-  const auto& param = std::get<dns::Nsec3ParamRdata>(params->front().rdata);
+  const auto params = zone.Find(zone.apex(), dns::RrType::kNsec3Param);
+  if (params.empty()) return nullptr;
+  const auto& param = std::get<dns::Nsec3ParamRdata>(params.front().rdata);
 
   std::vector<std::uint8_t> target =
       Nsec3Hash(qname, param.salt, param.iterations);
   dns::Name owner = zone.apex().Child(Base32HexEncode(target));
   // Exact match means the name exists (no covering record needed).
-  if (zone.Find(owner, dns::RrType::kNsec3) != nullptr) return nullptr;
+  if (!zone.Find(owner, dns::RrType::kNsec3).empty()) return nullptr;
 
   // Walk the chain records; covering = hash(owner) < target < next, with
   // wrap-around for the last interval. Linear scan: denial lookups are
@@ -163,9 +163,7 @@ const dns::ResourceRecord* FindCoveringNsec3(const Zone& zone,
   // cache keys on owner names, not hash order.
   const dns::ResourceRecord* wrap_candidate = nullptr;
   for (const auto& name : zone.Names()) {
-    const auto* rrset = zone.Find(name, dns::RrType::kNsec3);
-    if (rrset == nullptr) continue;
-    for (const auto& rr : *rrset) {
+    for (const auto& rr : zone.Find(name, dns::RrType::kNsec3)) {
       auto own_hash = Base32HexDecode(rr.name.Label(0));
       if (!own_hash) continue;
       const auto& next_hash =

@@ -1,9 +1,25 @@
 #include "zone/zone.h"
+// lint:hot-path — on the per-query serve/capture path (DESIGN.md §10).
 
 #include <algorithm>
 #include <stdexcept>
 
 namespace clouddns::zone {
+namespace {
+
+/// The records of one type inside a node's type-grouped record vector.
+std::span<const dns::ResourceRecord> TypeRange(
+    const std::vector<dns::ResourceRecord>& records, dns::RrType type) {
+  auto first = std::partition_point(
+      records.begin(), records.end(),
+      [type](const dns::ResourceRecord& rr) { return rr.type < type; });
+  auto last = std::partition_point(
+      first, records.end(),
+      [type](const dns::ResourceRecord& rr) { return rr.type == type; });
+  return {first, last};
+}
+
+}  // namespace
 
 // Moves lock the *source* zone's mutex while stealing its denial cache;
 // the destination is under construction (or exclusively owned by the
@@ -11,24 +27,66 @@ namespace clouddns::zone {
 // "other's mutex guards other's member", hence the escape hatch.
 Zone::Zone(Zone&& other) noexcept
     : apex_(std::move(other.apex_)),
-      records_(std::move(other.records_)),
-      names_(std::move(other.names_)),
+      nodes_(std::move(other.nodes_)),
+      index_(std::move(other.index_)),
+      owner_count_(other.owner_count_),
       record_count_(other.record_count_) {
   base::MutexLock lock(other.denial_mutex_);
   sorted_names_ = std::move(other.sorted_names_);
+  other.owner_count_ = 0;
   other.record_count_ = 0;
 }
 
 Zone& Zone::operator=(Zone&& other) noexcept {
   if (this == &other) return *this;
   apex_ = std::move(other.apex_);
-  records_ = std::move(other.records_);
-  names_ = std::move(other.names_);
+  nodes_ = std::move(other.nodes_);
+  index_ = std::move(other.index_);
+  owner_count_ = other.owner_count_;
   record_count_ = other.record_count_;
+  other.owner_count_ = 0;
   other.record_count_ = 0;
   base::MutexLock lock(other.denial_mutex_);
   sorted_names_ = std::move(other.sorted_names_);
   return *this;
+}
+
+const Zone::Node* Zone::FindNode(std::uint64_t hash, const std::uint8_t* flat,
+                                 std::size_t size) const {
+  const std::uint32_t index = index_.Find(hash, [&](std::uint32_t i) {
+    const dns::Name& name = nodes_[i].name;
+    return name.FlatSize() == size &&
+           dns::Name::FlatEquals(name.FlatData(), flat, size);
+  });
+  return index == base::OpenTable::kNil ? nullptr : &nodes_[index];
+}
+
+std::uint32_t Zone::Intern(const dns::Name& name) {
+  // Suffixes of `name` are trailing slices of its flat bytes; walk them
+  // from `name` up to the apex, stopping at the first one already present
+  // (its ancestors are then present too). A Name is built only for a
+  // suffix that is actually inserted.
+  const std::uint8_t* p = name.FlatData();
+  const std::uint8_t* const end = p + name.FlatSize();
+  std::uint32_t owner = base::OpenTable::kNil;
+  for (std::size_t labels = name.LabelCount();; --labels) {
+    const auto size = static_cast<std::size_t>(end - p);
+    const std::uint64_t hash =
+        p == name.FlatData() ? name.CachedHash() : dns::Name::HashFlat(p, size);
+    const Node* found = FindNode(hash, p, size);
+    std::uint32_t index;
+    if (found != nullptr) {
+      index = static_cast<std::uint32_t>(found - nodes_.data());
+    } else {
+      index = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(Node{name.Suffix(labels), {}});
+      index_.Insert(hash, index);
+    }
+    if (owner == base::OpenTable::kNil) owner = index;
+    if (found != nullptr || labels == apex_.LabelCount()) break;
+    p += 1 + *p;
+  }
+  return owner;
 }
 
 void Zone::Add(dns::ResourceRecord record) {
@@ -37,58 +95,54 @@ void Zone::Add(dns::ResourceRecord record) {
     sorted_names_.reset();
   }
   if (!record.name.IsSubdomainOf(apex_)) {
-    throw std::invalid_argument("Zone::Add: " + record.name.ToString() +
-                                " is outside zone " + apex_.ToString());
+    const dns::Name& name = record.name;
+    throw std::invalid_argument(
+        // lint:allow(hot-alloc): error path only; an out-of-zone record is a caller bug, never a query
+        "Zone::Add: " + name.ToString() + " outside zone " + apex_.ToString());
   }
-  // Register the owner and every empty non-terminal up to the apex so
-  // NXDOMAIN vs NODATA can be decided by existence checks.
-  dns::Name walker = record.name;
-  while (true) {
-    auto [it, inserted] = names_.try_emplace(walker.ToKey(), walker);
-    (void)it;
-    if (!inserted || walker.Equals(apex_)) break;
-    walker = walker.Parent();
-  }
-  records_[record.name.ToKey()][record.type].push_back(std::move(record));
+  std::vector<dns::ResourceRecord>& records =
+      nodes_[Intern(record.name)].records;
+  if (records.empty()) ++owner_count_;
+  // Keep the node grouped by type: insert after the last record of the
+  // same or a lower type.
+  const dns::RrType type = record.type;
+  records.insert(
+      std::partition_point(
+          records.begin(), records.end(),
+          [type](const dns::ResourceRecord& rr) { return rr.type <= type; }),
+      std::move(record));
   ++record_count_;
 }
 
-const std::vector<dns::ResourceRecord>* Zone::Find(const dns::Name& name,
-                                                   dns::RrType type) const {
-  auto it = records_.find(name.ToKey());
-  if (it == records_.end()) return nullptr;
-  auto type_it = it->second.find(type);
-  if (type_it == it->second.end()) return nullptr;
-  return &type_it->second;
+std::span<const dns::ResourceRecord> Zone::Find(const dns::Name& name,
+                                                dns::RrType type) const {
+  const Node* node = FindNode(name);
+  if (node == nullptr) return {};
+  return TypeRange(node->records, type);
 }
 
 std::vector<dns::Name> Zone::Names() const {
   std::vector<dns::Name> out;
-  out.reserve(names_.size());
-  for (const auto& [key, name] : names_) out.push_back(name);
+  out.reserve(nodes_.size());
+  for (const Node& node : nodes_) out.push_back(node.name);
   return out;
 }
 
-std::vector<dns::ResourceRecord> Zone::RecordsAt(const dns::Name& name) const {
-  std::vector<dns::ResourceRecord> out;
-  auto it = records_.find(name.ToKey());
-  if (it == records_.end()) return out;
-  for (const auto& [type, rrset] : it->second) {
-    out.insert(out.end(), rrset.begin(), rrset.end());
-  }
-  return out;
+std::span<const dns::ResourceRecord> Zone::RecordsAt(
+    const dns::Name& name) const {
+  const Node* node = FindNode(name);
+  if (node == nullptr) return {};
+  return node->records;
 }
 
 bool Zone::IsSigned() const {
-  return Find(apex_, dns::RrType::kDnskey) != nullptr;
+  return !Find(apex_, dns::RrType::kDnskey).empty();
 }
 
 std::shared_ptr<const std::vector<dns::Name>> Zone::SortedNames() const {
   base::MutexLock lock(denial_mutex_);
   if (!sorted_names_) {
-    auto sorted = std::make_shared<std::vector<dns::Name>>();
-    sorted->reserve(names_.size());
-    for (const auto& [key, name] : names_) sorted->push_back(name);
+    auto sorted = std::make_shared<std::vector<dns::Name>>(Names());
     std::sort(sorted->begin(), sorted->end());
     sorted_names_ = std::move(sorted);
   }
@@ -107,20 +161,19 @@ Zone::DenialRange Zone::DenialNeighbors(const dns::Name& qname) const {
   return range;
 }
 
-bool Zone::NameExists(const dns::Name& name) const {
-  return names_.contains(name.ToKey());
-}
-
-std::optional<dns::Name> Zone::FindZoneCut(const dns::Name& qname) const {
-  // Walk from just below the apex towards qname; the first name with an NS
-  // RRset (other than the apex) is the enclosing cut.
-  if (qname.LabelCount() <= apex_.LabelCount()) return std::nullopt;
-  for (std::size_t labels = apex_.LabelCount() + 1;
-       labels <= qname.LabelCount(); ++labels) {
-    dns::Name candidate = qname.Suffix(labels);
-    if (Find(candidate, dns::RrType::kNs) != nullptr) return candidate;
+void Zone::AppendGlue(const LookupResult& referral,
+                      std::vector<dns::ResourceRecord>& out) const {
+  if (referral.status != LookupStatus::kDelegation) return;
+  for (const auto& ns_rr : referral.records) {
+    const auto& target = std::get<dns::NsRdata>(ns_rr.rdata).nameserver;
+    if (!target.IsSubdomainOf(apex_)) continue;
+    const Node* node = FindNode(target);
+    if (node == nullptr) continue;
+    const auto a = TypeRange(node->records, dns::RrType::kA);
+    out.insert(out.end(), a.begin(), a.end());
+    const auto aaaa = TypeRange(node->records, dns::RrType::kAaaa);
+    out.insert(out.end(), aaaa.begin(), aaaa.end());
   }
-  return std::nullopt;
 }
 
 LookupResult Zone::Lookup(const dns::Name& qname, dns::RrType qtype) const {
@@ -130,66 +183,71 @@ LookupResult Zone::Lookup(const dns::Name& qname, dns::RrType qtype) const {
     return result;
   }
 
-  // Zone cuts take precedence over data below them.
-  if (auto cut = FindZoneCut(qname)) {
+  // Walk qname's suffixes from the apex down. Every name in the zone has
+  // all its ancestors registered, so the first missing suffix proves
+  // qname does not exist; the first suffix below the apex with an NS
+  // RRset is the enclosing cut, and cuts take precedence over data below
+  // them.
+  const std::uint8_t* const flat = qname.FlatData();
+  const std::size_t size = qname.FlatSize();
+  const std::size_t labels = qname.LabelCount();
+  std::uint8_t starts[dns::Name::kMaxWireLength / 2 + 1];
+  {
+    const std::uint8_t* p = flat;
+    for (std::size_t i = 0; i < labels; ++i) {
+      starts[i] = static_cast<std::uint8_t>(p - flat);
+      p += 1 + *p;
+    }
+  }
+  const Node* node = nullptr;
+  for (std::size_t depth = apex_.LabelCount(); depth <= labels; ++depth) {
+    const std::size_t start = depth == 0 ? size : starts[labels - depth];
+    const std::uint64_t hash =
+        depth == labels ? qname.CachedHash()
+                        : dns::Name::HashFlat(flat + start, size - start);
+    node = FindNode(hash, flat + start, size - start);
+    if (node == nullptr) break;
+    if (depth == apex_.LabelCount()) continue;
+    const auto ns_set = TypeRange(node->records, dns::RrType::kNs);
+    if (ns_set.empty()) continue;
     // Querying the cut itself for DS stays authoritative at the parent
     // (RFC 4035 §3.1.4.1); everything else is a referral.
-    if (!(qname.Equals(*cut) && qtype == dns::RrType::kDs)) {
-      result.status = LookupStatus::kDelegation;
-      result.cut = *cut;
-      const auto* ns_set = Find(*cut, dns::RrType::kNs);
-      result.records = *ns_set;
-      if (const auto* ds_set = Find(*cut, dns::RrType::kDs)) {
-        result.ds = *ds_set;
-      }
-      // Glue: addresses for nameservers whose names fall in/below this zone.
-      for (const auto& ns_rr : *ns_set) {
-        const auto& target = std::get<dns::NsRdata>(ns_rr.rdata).nameserver;
-        if (!target.IsSubdomainOf(apex_)) continue;
-        if (const auto* a = Find(target, dns::RrType::kA)) {
-          result.glue.insert(result.glue.end(), a->begin(), a->end());
-        }
-        if (const auto* aaaa = Find(target, dns::RrType::kAaaa)) {
-          result.glue.insert(result.glue.end(), aaaa->begin(), aaaa->end());
-        }
-      }
-      return result;
-    }
+    if (depth == labels && qtype == dns::RrType::kDs) break;
+    result.status = LookupStatus::kDelegation;
+    result.cut = &node->name;
+    result.records = ns_set;
+    result.ds = TypeRange(node->records, dns::RrType::kDs);
+    return result;
   }
 
   auto attach_soa = [this, &result] {
-    if (const auto* soa = Find(apex_, dns::RrType::kSoa)) {
-      result.soa = *soa;
-    }
+    result.soa = Find(apex_, dns::RrType::kSoa);
   };
 
-  if (!NameExists(qname)) {
+  if (node == nullptr) {
     result.status = LookupStatus::kNxDomain;
     attach_soa();
     return result;
   }
 
   if (qtype == dns::RrType::kAny) {
-    result.records = RecordsAt(qname);
+    result.records = node->records;
     result.status = result.records.empty() ? LookupStatus::kNoData
                                            : LookupStatus::kAnswer;
     if (result.records.empty()) attach_soa();
     return result;
   }
 
-  if (const auto* rrset = Find(qname, qtype)) {
-    result.status = LookupStatus::kAnswer;
-    result.records = *rrset;
-    return result;
-  }
+  result.records = TypeRange(node->records, qtype);
   // CNAME at the name answers any type (we only chase one level; our zones
   // never chain CNAMEs).
-  if (const auto* cname = Find(qname, dns::RrType::kCname)) {
+  if (result.records.empty()) {
+    result.records = TypeRange(node->records, dns::RrType::kCname);
+  }
+  if (!result.records.empty()) {
     result.status = LookupStatus::kAnswer;
-    result.records = *cname;
     return result;
   }
-
   result.status = LookupStatus::kNoData;
   attach_soa();
   return result;

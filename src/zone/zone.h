@@ -4,14 +4,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
-#include <string>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "base/mutex.h"
+#include "base/open_table.h"
 #include "base/thread_annotations.h"
 #include "dns/name.h"
 #include "dns/record.h"
@@ -28,19 +26,21 @@ enum class LookupStatus {
   kNotInZone,   ///< The name is not under this zone's apex at all.
 };
 
+/// A lookup's outcome, borrowed from the zone: the spans and `cut` point
+/// into the Zone's own storage and stay valid while the zone is alive and
+/// not modified. Zones are built once and then shared read-only, so a
+/// server can append straight from these views into its response.
 struct LookupResult {
   LookupStatus status = LookupStatus::kNotInZone;
-  /// kAnswer: the matching RRset. kDelegation: the cut's NS RRset.
-  std::vector<dns::ResourceRecord> records;
-  /// kDelegation: glue A/AAAA for in-zone nameservers; kAnswer for NS at a
-  /// cut is never produced (cuts take precedence below the apex).
-  std::vector<dns::ResourceRecord> glue;
+  /// kAnswer: the matching RRset (every record at the name for ANY).
+  /// kDelegation: the cut's NS RRset.
+  std::span<const dns::ResourceRecord> records;
   /// kDelegation: DS records of the child, for DO=1 referrals.
-  std::vector<dns::ResourceRecord> ds;
+  std::span<const dns::ResourceRecord> ds;
   /// kNxDomain / kNoData: the zone SOA for the negative response.
-  std::vector<dns::ResourceRecord> soa;
-  /// Name of the zone cut for delegations.
-  dns::Name cut;
+  std::span<const dns::ResourceRecord> soa;
+  /// kDelegation: owner name of the zone cut.
+  const dns::Name* cut = nullptr;
 };
 
 class Zone {
@@ -63,22 +63,31 @@ class Zone {
 
   /// Convenience: number of distinct owner names (the "zone size" the
   /// paper's Table 2 reports counts registered domains; see builders).
-  [[nodiscard]] std::size_t name_count() const { return records_.size(); }
+  [[nodiscard]] std::size_t name_count() const { return owner_count_; }
   [[nodiscard]] std::size_t record_count() const { return record_count_; }
 
-  /// Performs the RFC 1034 lookup algorithm for qname/qtype.
+  /// Performs the RFC 1034 lookup algorithm for qname/qtype. Allocates
+  /// nothing: the result borrows the zone's RRsets.
   [[nodiscard]] LookupResult Lookup(const dns::Name& qname,
                                     dns::RrType qtype) const;
 
-  /// Direct RRset access (exact name + type), no cut processing.
-  [[nodiscard]] const std::vector<dns::ResourceRecord>* Find(
+  /// Appends the glue of a kDelegation result: the A then AAAA RRsets of
+  /// each in-zone nameserver, in NS-set order. No-op for other statuses.
+  void AppendGlue(const LookupResult& referral,
+                  std::vector<dns::ResourceRecord>& out) const;
+
+  /// Direct RRset access (exact name + type), no cut processing; empty
+  /// when the name has no records of that type.
+  [[nodiscard]] std::span<const dns::ResourceRecord> Find(
       const dns::Name& name, dns::RrType type) const;
 
-  /// All names in the zone, unordered. Used by the mock signer.
+  /// All names in the zone (owners and empty non-terminals), in the order
+  /// Add first registered them. Used by the signer and zone transfer.
   [[nodiscard]] std::vector<dns::Name> Names() const;
 
-  /// All records at a name, across types.
-  [[nodiscard]] std::vector<dns::ResourceRecord> RecordsAt(
+  /// All records at a name: grouped by type in ascending type order, Add
+  /// order within a type.
+  [[nodiscard]] std::span<const dns::ResourceRecord> RecordsAt(
       const dns::Name& name) const;
 
   /// True when the zone has an apex DNSKEY (i.e. it was signed).
@@ -96,13 +105,32 @@ class Zone {
   [[nodiscard]] DenialRange DenialNeighbors(const dns::Name& qname) const;
 
  private:
-  using TypeMap = std::map<dns::RrType, std::vector<dns::ResourceRecord>>;
+  /// One name of the zone: an owner, or an empty non-terminal (no
+  /// records). Records are kept grouped by type, so an RRset and the ANY
+  /// answer are both contiguous spans of `records`.
+  struct Node {
+    dns::Name name;
+    std::vector<dns::ResourceRecord> records;
+  };
+
+  /// The node whose name is the flat label range [flat, flat + size)
+  /// hashing to `hash`, or nullptr.
+  [[nodiscard]] const Node* FindNode(std::uint64_t hash,
+                                     const std::uint8_t* flat,
+                                     std::size_t size) const;
+  [[nodiscard]] const Node* FindNode(const dns::Name& name) const {
+    return FindNode(name.CachedHash(), name.FlatData(), name.FlatSize());
+  }
+  /// Registers `name` and every missing ancestor up to the apex (so
+  /// NXDOMAIN vs NODATA is an existence check); returns `name`'s node.
+  std::uint32_t Intern(const dns::Name& name);
 
   dns::Name apex_;
-  std::unordered_map<std::string, TypeMap> records_;  // key: Name::ToKey()
-  // Owner-name keys that exist (including empty non-terminals' children),
-  // for NXDOMAIN vs NODATA decisions.
-  std::unordered_map<std::string, dns::Name> names_;
+  /// Nodes in first-registration order, indexed by name hash. Names are
+  /// compared on flat label bytes; no lookup builds a string key.
+  std::vector<Node> nodes_;
+  base::OpenTable index_;
+  std::size_t owner_count_ = 0;
   std::size_t record_count_ = 0;
   // Canonically sorted owner names, built lazily for DenialNeighbors and
   // invalidated by Add. Zones are shared read-only across parallel scenario
@@ -113,11 +141,6 @@ class Zone {
   mutable base::Mutex denial_mutex_;
   mutable std::shared_ptr<const std::vector<dns::Name>> sorted_names_
       GUARDED_BY(denial_mutex_);
-
-  /// Finds the closest enclosing zone cut strictly below the apex, if any.
-  [[nodiscard]] std::optional<dns::Name> FindZoneCut(
-      const dns::Name& qname) const;
-  [[nodiscard]] bool NameExists(const dns::Name& name) const;
 };
 
 }  // namespace clouddns::zone

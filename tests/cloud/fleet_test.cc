@@ -104,9 +104,9 @@ TEST(FleetTest, FacebookDualStackPtrNamesMatchAcrossFamilies) {
   Fleet fleet =
       BuildProviderFleet(ProfileFor(Provider::kFacebook, 2020), f.ctx);
   // Group PTR records by name: dual-stack hosts appear once per family.
-  std::map<std::string, std::pair<int, int>> by_name;  // v4 count, v6 count
+  std::map<dns::Name, std::pair<int, int>> by_name;  // v4 count, v6 count
   for (const auto& [address, name] : fleet.ptr_records) {
-    auto& entry = by_name[name.ToKey()];
+    auto& entry = by_name[name];
     (address.is_v4() ? entry.first : entry.second)++;
   }
   int dual = 0;

@@ -63,7 +63,26 @@ TEST(NameTest, CaseInsensitiveEquality) {
 
 TEST(NameTest, PreservesOriginalCase) {
   EXPECT_EQ(Name::Parse("ExAmPlE.Nl")->ToString(), "ExAmPlE.Nl");
-  EXPECT_EQ(Name::Parse("ExAmPlE.Nl")->ToKey(), "example.nl");
+  EXPECT_EQ(PresentationHash(*Name::Parse("ExAmPlE.Nl"), 7),
+            PresentationHash(*Name::Parse("example.nl"), 7));
+}
+
+TEST(NameTest, PresentationHashEqualsFnvOfLowercasedText) {
+  // The mock DNSSEC material and synthetic leaf addresses were defined as
+  // FNV-1a over the lowercased presentation string; streaming the flat
+  // labels must reproduce exactly those values.
+  auto fnv = [](std::string_view text, std::uint64_t h) {
+    for (char c : text) {
+      h ^= static_cast<std::uint8_t>(c);
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  const std::uint64_t seed = 0x5a534b5a534b5a53ull;
+  EXPECT_EQ(PresentationHash(*Name::Parse("WWW.Example.NL"), seed),
+            fnv("www.example.nl", seed));
+  EXPECT_EQ(PresentationHash(Name{}, seed), fnv(".", seed));
+  EXPECT_EQ(PresentationHash(*Name::Parse("nz"), seed), fnv("nz", seed));
 }
 
 TEST(NameTest, ParentChainEndsAtRoot) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "../testutil.h"
 
 namespace clouddns::resolver {
@@ -398,6 +400,106 @@ TEST(ResolverTest, GluelessCycleFailsWithoutInfiniteLoop) {
   // signature — but stayed within the budget.
   EXPECT_GT(nz_server.captured().size(), 2u);
   EXPECT_LE(result.upstream_queries, resolver_config.max_upstream_queries);
+}
+
+TEST(ResolverTest, NestedSendsLeaveOuterRepliesIntact) {
+  // A validating resolver with explicit DS fetches chases a glueless
+  // delegation. While the referral to glueless.nl is still being
+  // processed, a DS fetch at .nl, a nested resolution of its nameserver
+  // (itself a referral plus DS and DNSKEY fetches) and the child's DNSKEY
+  // fetch all send their own queries. Each recursion depth decodes into
+  // its own reply slot and the fetches share another, so none of them may
+  // disturb an outer reply. The pinned values are what the resolver
+  // produced when every upstream reply was decoded into a fresh message.
+  MiniInternet sites(0);
+  const char* kTld = "194.0.30.53";
+  zone::ZoneBuildConfig root_config;
+  root_config.apex = dns::Name{};
+  root_config.nameservers = {
+      {N("b.root-servers.net"),
+       {*net::IpAddress::Parse(MiniInternet::kRootV4)}}};
+  auto root = zone::MakeZoneSkeleton(root_config);
+  zone::AddDelegation(root, N("nl"),
+                      {{N("ns1.dns.nl"), {*net::IpAddress::Parse(kTld)}}},
+                      /*with_ds=*/true);
+  zone::SignZone(root);
+  zone::ZoneBuildConfig nl_config;
+  nl_config.apex = N("nl");
+  nl_config.nameservers = {{N("ns1.dns.nl"), {*net::IpAddress::Parse(kTld)}}};
+  auto nl = zone::MakeZoneSkeleton(nl_config);
+  zone::PopulateDelegations(nl, 4, "dom", 0.5, net::Ipv4Address(100, 71, 0, 0));
+  zone::AddDelegation(nl, N("glueless.nl"), {{N("host.dom2.nl"), {}}},
+                      /*with_ds=*/true);
+  zone::SignZone(nl);
+
+  server::AuthServer root_server(server::AuthServerConfig{});
+  root_server.Serve(std::make_shared<const zone::Zone>(std::move(root)));
+  server::AuthServer nl_server(server::AuthServerConfig{});
+  nl_server.Serve(std::make_shared<const zone::Zone>(std::move(nl)));
+  sim::Network network(sites.latency);
+  network.RegisterServer(*net::IpAddress::Parse(MiniInternet::kRootV4),
+                         sites.auth_site, root_server);
+  network.RegisterServer(*net::IpAddress::Parse(kTld), sites.auth_site,
+                         nl_server);
+  server::LeafAuthService leaf{server::LeafAuthConfig{}};
+  network.SetDefaultRoute(sites.leaf_site, leaf);
+
+  ResolverConfig config;
+  EgressHost host;
+  host.v4 = *net::IpAddress::Parse("10.1.0.1");
+  host.v6 = *net::IpAddress::Parse("2001:db8:10::1");
+  host.site = sites.resolver_site;
+  config.hosts = {host};
+  config.validate_dnssec = true;
+  config.explicit_ds_fetch = true;
+  RecursiveResolver resolver(network, config, sites.RootHintsV4(), {});
+
+  auto result =
+      resolver.Resolve(N("www.glueless.nl"), dns::RrType::kA, 1'000'000);
+  EXPECT_EQ(result.rcode, dns::Rcode::kNoError);
+  std::string records;
+  for (const auto& rr : result.records) {
+    records += rr.name.ToString() + " " + std::string(ToString(rr.type)) +
+               " " + std::to_string(rr.ttl) + ";";
+  }
+  EXPECT_EQ(records, "www.glueless.nl A 300;");
+  EXPECT_EQ(result.upstream_queries, 12);
+
+  std::string tld_queries;
+  for (const auto& record : nl_server.captured()) {
+    tld_queries += record.qname.ToString() + "/" +
+                   std::string(ToString(record.qtype)) + " ";
+  }
+  EXPECT_EQ(tld_queries,
+            "nl/DNSKEY www.glueless.nl/A glueless.nl/DS host.dom2.nl/A "
+            "dom2.nl/DS ");
+
+  auto describe = [&resolver](const char* apex) {
+    const ZoneEntry* entry = resolver.infra_cache().Peek(N(apex));
+    if (entry == nullptr) return std::string("absent");
+    std::string out = "ns";
+    for (const auto& name : entry->ns_names) out += " " + name.ToString();
+    out += " v4";
+    for (const auto& addr : entry->v4_addresses) out += " " + addr.ToString();
+    out += " v6";
+    for (const auto& addr : entry->v6_addresses) out += " " + addr.ToString();
+    out += " ds " + std::to_string(static_cast<int>(entry->ds)) +
+           " expires " + std::to_string(entry->expires_at) + " dnskey " +
+           std::to_string(entry->dnskey_expires_at);
+    return out;
+  };
+  EXPECT_EQ(resolver.infra_cache().size(), 3u);
+  EXPECT_EQ(describe("nl"),
+            "ns ns1.dns.nl v4 194.0.30.53 v6 ds 1 expires 86401000000 "
+            "dnskey 172801000000");
+  EXPECT_EQ(describe("glueless.nl"),
+            "ns host.dom2.nl v4 100.113.114.41 v6 2001:db8::5d39:74b5:5360:cd7 "
+            "ds 1 expires 86401000000 dnskey 301000000");
+  EXPECT_EQ(describe("dom2.nl"),
+            "ns ns1.dom2.nl ns2.dom2.nl ns3.dom2.nl ns4.dom2.nl v4 100.71.0.9 "
+            "100.71.0.10 100.71.0.11 100.71.0.12 v6 2001:dba:6447::9 "
+            "2001:dba:6447::a 2001:dba:6447::b 2001:dba:6447::c ds 2 "
+            "expires 86401000000 dnskey 0");
 }
 
 TEST(ResolverTest, ServFailCachingSuppressesRetryStorms) {

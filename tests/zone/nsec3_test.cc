@@ -78,14 +78,12 @@ Zone MakeChainedZone(std::size_t domains = 10) {
 
 TEST(Nsec3ChainTest, ParamAtApexAndOneRecordPerName) {
   Zone plain = MakeChainedZone();
-  EXPECT_NE(plain.Find(N("nl"), dns::RrType::kNsec3Param), nullptr);
+  EXPECT_FALSE(plain.Find(N("nl"), dns::RrType::kNsec3Param).empty());
 
   // Count NSEC3 records and the names they certify.
   std::size_t nsec3_count = 0;
   for (const auto& name : plain.Names()) {
-    if (const auto* rrset = plain.Find(name, dns::RrType::kNsec3)) {
-      nsec3_count += rrset->size();
-    }
+    nsec3_count += plain.Find(name, dns::RrType::kNsec3).size();
   }
   EXPECT_GT(nsec3_count, 10u);
 }
@@ -96,9 +94,7 @@ TEST(Nsec3ChainTest, ChainIsCircularAndSorted) {
   std::set<std::vector<std::uint8_t>> hashes;
   std::set<std::vector<std::uint8_t>> nexts;
   for (const auto& name : zone.Names()) {
-    const auto* rrset = zone.Find(name, dns::RrType::kNsec3);
-    if (rrset == nullptr) continue;
-    for (const auto& rr : *rrset) {
+    for (const auto& rr : zone.Find(name, dns::RrType::kNsec3)) {
       auto hash = Base32HexDecode(rr.name.Label(0));
       ASSERT_TRUE(hash.has_value());
       hashes.insert(*hash);
@@ -112,9 +108,9 @@ TEST(Nsec3ChainTest, ChainIsCircularAndSorted) {
 TEST(Nsec3ChainTest, TypeBitmapsReflectOwnerTypes) {
   Zone zone = MakeChainedZone();
   auto apex_owner = Nsec3OwnerName(N("nl"), N("nl"), {0xab, 0xcd}, 5);
-  const auto* rrset = zone.Find(apex_owner, dns::RrType::kNsec3);
-  ASSERT_NE(rrset, nullptr);
-  const auto& rdata = std::get<dns::Nsec3Rdata>(rrset->front().rdata);
+  const auto rrset = zone.Find(apex_owner, dns::RrType::kNsec3);
+  ASSERT_FALSE(rrset.empty());
+  const auto& rdata = std::get<dns::Nsec3Rdata>(rrset.front().rdata);
   auto has = [&rdata](dns::RrType t) {
     return std::find(rdata.types.begin(), rdata.types.end(), t) !=
            rdata.types.end();
@@ -162,17 +158,17 @@ TEST(Nsec3ChainTest, ZoneWithoutChainReturnsNull) {
 TEST(Nsec3ChainTest, Nsec3RecordsSurviveWireRoundTrip) {
   Zone zone = MakeChainedZone();
   auto apex_owner = Nsec3OwnerName(N("nl"), N("nl"), {0xab, 0xcd}, 5);
-  const auto* rrset = zone.Find(apex_owner, dns::RrType::kNsec3);
-  ASSERT_NE(rrset, nullptr);
+  const auto rrset = zone.Find(apex_owner, dns::RrType::kNsec3);
+  ASSERT_FALSE(rrset.empty());
 
   dns::Message msg;
   msg.header.qr = true;
   msg.questions.push_back(
       dns::Question{N("nope.nl"), dns::RrType::kA, dns::RrClass::kIn});
-  msg.authorities.push_back(rrset->front());
+  msg.authorities.push_back(rrset.front());
   auto decoded = dns::Message::Decode(msg.Encode());
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->authorities.front(), rrset->front());
+  EXPECT_EQ(decoded->authorities.front(), rrset.front());
 }
 
 }  // namespace

@@ -49,9 +49,11 @@ TEST(ZoneTest, DelegationReturnsReferralWithGlue) {
   Zone zone = MakeNlZone();
   auto result = zone.Lookup(N("www.example.nl"), dns::RrType::kA);
   EXPECT_EQ(result.status, LookupStatus::kDelegation);
-  EXPECT_EQ(result.cut, N("example.nl"));
+  EXPECT_EQ(*result.cut, N("example.nl"));
   EXPECT_EQ(result.records.size(), 2u);  // the NS set
-  EXPECT_EQ(result.glue.size(), 2u);     // in-zone glue A records
+  std::vector<dns::ResourceRecord> glue;
+  zone.AppendGlue(result, glue);
+  EXPECT_EQ(glue.size(), 2u);            // in-zone glue A records
   EXPECT_EQ(result.ds.size(), 1u);       // signed child
 }
 
@@ -59,7 +61,7 @@ TEST(ZoneTest, DelegationAtCutItself) {
   Zone zone = MakeNlZone();
   auto result = zone.Lookup(N("example.nl"), dns::RrType::kA);
   EXPECT_EQ(result.status, LookupStatus::kDelegation);
-  EXPECT_EQ(result.cut, N("example.nl"));
+  EXPECT_EQ(*result.cut, N("example.nl"));
 }
 
 TEST(ZoneTest, DsQueryAtCutIsAnsweredByParent) {
@@ -159,7 +161,7 @@ TEST(ZoneTest, RootZoneDelegatesTlds) {
 
   auto result = root.Lookup(N("www.example.nl"), dns::RrType::kA);
   EXPECT_EQ(result.status, LookupStatus::kDelegation);
-  EXPECT_EQ(result.cut, N("nl"));
+  EXPECT_EQ(*result.cut, N("nl"));
 
   auto junk = root.Lookup(N("hjkdfs"), dns::RrType::kA);
   EXPECT_EQ(junk.status, LookupStatus::kNxDomain);
@@ -183,8 +185,10 @@ TEST(ZoneBuilderTest, PopulateDelegationsCounts) {
     ASSERT_EQ(result.status, LookupStatus::kDelegation) << i;
     EXPECT_GE(result.records.size(), 2u);
     EXPECT_LE(result.records.size(), 4u);
-    EXPECT_GE(result.glue.size(), result.records.size());
-    for (const auto& rr : result.glue) {
+    std::vector<dns::ResourceRecord> glue;
+    zone.AppendGlue(result, glue);
+    EXPECT_GE(glue.size(), result.records.size());
+    for (const auto& rr : glue) {
       aaaa_glue += rr.type == dns::RrType::kAaaa;
     }
     ds_count += static_cast<int>(result.ds.size());
