@@ -70,12 +70,10 @@ void BM_DnsCachePutGet(benchmark::State& state) {
   for (int i = 0; i < 4096; ++i) {
     names.push_back(base.Child("dom" + std::to_string(i)));
   }
-  resolver::CachedAnswer answer;
-  answer.expires_at = ~0ull;
   for (auto _ : state) {
     const dns::Name& name = names[rng.NextBelow(names.size())];
     if (rng.Bernoulli(0.2)) {
-      cache.Put(name, dns::RrType::kA, answer);
+      cache.Put(name, dns::RrType::kA, dns::Rcode::kNoError, {}, ~0ull);
     } else {
       benchmark::DoNotOptimize(cache.Get(name, dns::RrType::kA, 1));
     }

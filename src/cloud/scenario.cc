@@ -100,7 +100,9 @@ class ScenarioRuntime {
   net::PrefixMap<bool> google_public_;
 
   std::vector<Fleet> fleets_;
-  std::vector<WorkloadSpec> fleet_specs_;
+  /// Per-fleet sampling tables, shared read-only by every shard's
+  /// generator for that fleet.
+  std::vector<std::shared_ptr<const WorkloadTables>> fleet_workloads_;
   std::vector<double> fleet_weights_;
   /// engine_owner_[fleet][engine] -> shard that executes its queries.
   std::vector<std::vector<std::size_t>> engine_owner_;
@@ -583,7 +585,8 @@ void ScenarioRuntime::BuildFleets() {
               : ProfileFor(fleet.provider, config_.year).root_junk_multiplier;
       spec.chromium_fraction = base_chromium * multiplier;
     }
-    fleet_specs_.push_back(std::move(spec));
+    fleet_workloads_.push_back(
+        std::make_shared<const WorkloadTables>(std::move(spec)));
     fleet_weights_.push_back(fleet.client_weight);
   }
 }
@@ -607,9 +610,9 @@ void ScenarioRuntime::PartitionEngines() {
   for (std::size_t s = 0; s < shard_count_; ++s) {
     ShardWorld& shard = shards_[s];
     shard.issued_per_fleet.assign(fleets_.size(), 0);
-    for (std::size_t f = 0; f < fleet_specs_.size(); ++f) {
+    for (std::size_t f = 0; f < fleet_workloads_.size(); ++f) {
       shard.workloads.push_back(std::make_unique<WorkloadGenerator>(
-          fleet_specs_[f],
+          fleet_workloads_[f],
           sim::SubstreamSeed(config_.seed ^ (0xabcdull + f), s)));
     }
   }
@@ -674,13 +677,24 @@ void ScenarioRuntime::RunShard(std::size_t shard_index) {
   }
 
   // Harvest this shard's captures into one time-ordered buffer; ties keep
-  // service order, making the per-shard stream deterministic.
+  // service order, making the per-shard stream deterministic. The
+  // in-window records are counted first so the buffer is sized exactly,
+  // and each server's buffer is released once drained.
+  std::vector<capture::CaptureBuffer> captured;
+  std::size_t in_window = 0;
   for (std::size_t idx = 0; idx < shard.servers.size(); ++idx) {
     if (!service_specs_[idx].meta.captured) continue;
-    capture::CaptureBuffer captured = shard.servers[idx]->TakeCaptured();
-    for (auto& record : captured) {
+    captured.push_back(shard.servers[idx]->TakeCaptured());
+    for (const auto& record : captured.back()) {
+      in_window += record.time_us >= start_;
+    }
+  }
+  shard.records.reserve(in_window);
+  for (capture::CaptureBuffer& buffer : captured) {
+    for (auto& record : buffer) {
       if (record.time_us >= start_) shard.records.push_back(std::move(record));
     }
+    capture::CaptureBuffer().swap(buffer);
   }
   capture::SortByTimeStable(shard.records);
 }

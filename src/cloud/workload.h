@@ -4,6 +4,7 @@
 // workloads add Chromium-style random-TLD probes (§3, [19][42]).
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,9 +44,24 @@ struct ClientQuery {
   dns::RrType qtype = dns::RrType::kA;
 };
 
+/// The sampling tables of one WorkloadSpec (suffix alias table, per-suffix
+/// Zipf tables, qtype table). They are pure functions of the spec, so
+/// generators that differ only in seed share one copy read-only.
+struct WorkloadTables {
+  explicit WorkloadTables(WorkloadSpec spec);
+
+  WorkloadSpec spec;
+  sim::DiscreteSampler suffix_sampler;
+  std::vector<sim::ZipfSampler> domain_samplers;  // one per suffix
+  sim::DiscreteSampler qtype_sampler;
+  std::vector<dns::RrType> qtypes;
+};
+
 class WorkloadGenerator {
  public:
   WorkloadGenerator(WorkloadSpec spec, std::uint64_t seed);
+  WorkloadGenerator(std::shared_ptr<const WorkloadTables> tables,
+                    std::uint64_t seed);
 
   [[nodiscard]] ClientQuery Next();
 
@@ -54,19 +70,15 @@ class WorkloadGenerator {
   void InjectTargets(std::vector<dns::Name> targets, double probability);
   void ClearInjection();
 
-  [[nodiscard]] const WorkloadSpec& spec() const { return spec_; }
+  [[nodiscard]] const WorkloadSpec& spec() const { return tables_->spec; }
 
  private:
   [[nodiscard]] dns::Name RandomLabelName(std::size_t min_len,
                                           std::size_t max_len,
                                           const dns::Name& suffix);
 
-  WorkloadSpec spec_;
+  std::shared_ptr<const WorkloadTables> tables_;
   sim::Rng rng_;
-  sim::DiscreteSampler suffix_sampler_;
-  std::vector<sim::ZipfSampler> domain_samplers_;  // one per suffix
-  sim::DiscreteSampler qtype_sampler_;
-  std::vector<dns::RrType> qtypes_;
   std::vector<dns::Name> injected_;
   double injected_probability_ = 0.0;
 };

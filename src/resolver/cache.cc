@@ -1,6 +1,8 @@
 #include "resolver/cache.h"
 // lint:hot-path — on the per-query serve/capture path (DESIGN.md §10).
 
+#include <algorithm>
+
 namespace clouddns::resolver {
 
 std::uint64_t DnsCache::TaggedHash(const dns::Name& qname,
@@ -20,10 +22,17 @@ std::uint32_t DnsCache::Find(const dns::Name& qname, std::uint32_t tag) const {
 }
 
 void DnsCache::PutTagged(const dns::Name& qname, std::uint32_t tag,
-                         CachedAnswer answer) {
+                         dns::Rcode rcode,
+                         std::span<const dns::ResourceRecord> records,
+                         sim::TimeUs expires_at) {
+  auto fill = [&](CachedAnswer& answer) {
+    answer.rcode = rcode;
+    answer.records.assign(records.begin(), records.end());
+    answer.expires_at = expires_at;
+  };
   const std::uint32_t existing = Find(qname, tag);
   if (existing != kNil) {
-    entries_[existing].answer = std::move(answer);
+    fill(entries_[existing].answer);
     Touch(existing);
     return;
   }
@@ -40,7 +49,7 @@ void DnsCache::PutTagged(const dns::Name& qname, std::uint32_t tag,
   entry.hash = TaggedHash(qname, tag);
   entry.tag = tag;
   entry.used = true;
-  entry.answer = std::move(answer);
+  fill(entry.answer);
   table_.Insert(entry.hash, index);
   ++count_;
   LruPushFront(index);
@@ -51,28 +60,33 @@ DnsCache::Entry* DnsCache::GetTagged(const dns::Name& qname, std::uint32_t tag,
                                      sim::TimeUs now) {
   // Expired entries count as misses; without retain_expired they are
   // erased on sight. The expired-but-retained case deliberately does not
-  // touch the LRU: only a real (or stale) hit refreshes recency.
+  // touch the LRU: only a real (or stale) hit refreshes recency. The
+  // reclaim runs after the touch, so every lookup leaves a live tail.
+  Entry* hit = nullptr;
   const std::uint32_t index = Find(qname, tag);
-  if (index == kNil) return nullptr;
-  Entry& entry = entries_[index];
-  if (entry.answer.expires_at <= now) {
-    if (!retain_expired_) EraseEntry(index);
-    return nullptr;
+  if (index != kNil) {
+    Entry& entry = entries_[index];
+    if (entry.answer.expires_at > now) {
+      Touch(index);
+      hit = &entry;
+    } else if (!retain_expired_) {
+      EraseEntry(index);
+    }
   }
-  Touch(index);
-  return &entry;
+  ReclaimExpiredTail(now);
+  return hit;
 }
 
 void DnsCache::Put(const dns::Name& qname, dns::RrType qtype,
-                   CachedAnswer answer) {
-  PutTagged(qname, static_cast<std::uint32_t>(qtype), std::move(answer));
+                   dns::Rcode rcode,
+                   std::span<const dns::ResourceRecord> records,
+                   sim::TimeUs expires_at) {
+  PutTagged(qname, static_cast<std::uint32_t>(qtype), rcode, records,
+            expires_at);
 }
 
 void DnsCache::PutNxDomain(const dns::Name& qname, sim::TimeUs expires_at) {
-  CachedAnswer answer;
-  answer.rcode = dns::Rcode::kNxDomain;
-  answer.expires_at = expires_at;
-  PutTagged(qname, kNxTag, std::move(answer));
+  PutTagged(qname, kNxTag, dns::Rcode::kNxDomain, {}, expires_at);
 }
 
 const CachedAnswer* DnsCache::Get(const dns::Name& qname, dns::RrType qtype,
@@ -139,7 +153,7 @@ void DnsCache::EraseEntry(std::uint32_t index) {
   table_.Erase(entry.hash, [&](std::uint32_t v) { return v == index; });
   LruUnlink(index);
   entry.name = dns::Name();
-  entry.answer = CachedAnswer{};
+  entry.answer.records.clear();  // keeps capacity for the slot's next Put
   entry.used = false;
   free_.push_back(index);
   --count_;
@@ -151,7 +165,17 @@ void DnsCache::EvictIfNeeded() {
   }
 }
 
-void InfraCache::Put(ZoneEntry entry) {
+void DnsCache::ReclaimExpiredTail(sim::TimeUs now) {
+  // Only the tail run is freed: an expired entry in front of a live one
+  // stays until it is looked up or reaches the tail, exactly where the
+  // keep-until-touched cache would still hold it.
+  if (retain_expired_) return;
+  while (lru_tail_ != kNil && entries_[lru_tail_].answer.expires_at <= now) {
+    EraseEntry(lru_tail_);
+  }
+}
+
+void InfraCache::Put(ZoneEntry entry, sim::TimeUs now) {
   const std::uint64_t hash = entry.apex.CachedHash();
   const std::uint32_t existing =
       table_.Find(hash, [&](std::uint32_t index) {
@@ -162,6 +186,10 @@ void InfraCache::Put(ZoneEntry entry) {
     // nested Puts, and the deque slot address never changes.
     slots_[existing].entry = std::move(entry);
     return;
+  }
+  if (free_.empty() && slots_.size() >= sweep_at_) {
+    SweepExpired(now);
+    sweep_at_ = std::max(kMinSweep, 2 * count_);
   }
   std::uint32_t index;
   if (!free_.empty()) {
@@ -187,14 +215,27 @@ ZoneEntry* InfraCache::GetView(std::uint64_t hash, const std::uint8_t* flat,
   if (index == base::OpenTable::kNil) return nullptr;
   Slot& slot = slots_[index];
   if (slot.entry.expires_at <= now) {
-    table_.Erase(hash, [&](std::uint32_t v) { return v == index; });
-    slot.entry = ZoneEntry{};
-    slot.used = false;
-    free_.push_back(index);
-    --count_;
+    Erase(hash, index);
     return nullptr;
   }
   return &slot.entry;
+}
+
+void InfraCache::Erase(std::uint64_t hash, std::uint32_t index) {
+  table_.Erase(hash, [&](std::uint32_t v) { return v == index; });
+  slots_[index].entry = ZoneEntry{};
+  slots_[index].used = false;
+  free_.push_back(index);
+  --count_;
+}
+
+void InfraCache::SweepExpired(sim::TimeUs now) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
+    if (slot.used && slot.entry.expires_at <= now) {
+      Erase(slot.entry.apex.CachedHash(), static_cast<std::uint32_t>(i));
+    }
+  }
 }
 
 const ZoneEntry* InfraCache::Peek(const dns::Name& apex) const {

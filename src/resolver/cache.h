@@ -17,6 +17,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "base/open_table.h"
@@ -35,21 +36,35 @@ struct CachedAnswer {
 
 /// Positive/negative answer cache with TTL expiry and LRU eviction.
 ///
-/// `retain_expired` keeps TTL-expired entries in place (still reported as
-/// misses) instead of erasing them on lookup, so a serve-stale resolver
-/// (RFC 8767) can fall back to them via GetStale() after live resolution
-/// fails. Stale entries remain subject to LRU eviction, so the cache stays
-/// bounded either way.
+/// Expired entries are reclaimed from the LRU tail: after its lookup,
+/// every Get/IsNxDomain frees entries from the tail while the tail has
+/// expired at `now`, so each lookup leaves a live tail (or an empty cache).
+/// Precondition: the `now` passed to successive calls never decreases
+/// (each resolver engine sees its queries in schedule order). Under it, a
+/// reclaimed entry would only ever have missed again, and every entry the
+/// keep-until-touched cache would still hold but this one has freed sits
+/// behind all live entries in LRU order; so capacity evictions, in-place
+/// overwrites and hit/miss counts fall on the same live entries, and every
+/// lookup returns what it would without the reclaim. Only size() differs.
 ///
-/// Returned CachedAnswer pointers are invalidated by the next mutating
-/// call (Put/PutNxDomain, or a Get that erases an expired entry) — copy
-/// out what you need before touching the cache again.
+/// `retain_expired` keeps TTL-expired entries in place (still reported as
+/// misses) instead of erasing them on lookup or reclaiming them, so a
+/// serve-stale resolver (RFC 8767) can fall back to them via GetStale()
+/// after live resolution fails. Stale entries remain subject to LRU
+/// eviction, so the cache stays bounded either way.
+///
+/// Returned CachedAnswer pointers are invalidated by the next call other
+/// than GetStale — copy out what you need before touching the cache again.
 class DnsCache {
  public:
   explicit DnsCache(std::size_t max_entries, bool retain_expired = false)
       : max_entries_(max_entries), retain_expired_(retain_expired) {}
 
-  void Put(const dns::Name& qname, dns::RrType qtype, CachedAnswer answer);
+  /// Caches `rcode` and a copy of `records` for qname/qtype until
+  /// `expires_at`. A reused slot keeps its record vector's capacity.
+  void Put(const dns::Name& qname, dns::RrType qtype, dns::Rcode rcode,
+           std::span<const dns::ResourceRecord> records,
+           sim::TimeUs expires_at);
   /// NXDOMAIN entries are stored under the qname alone and match any type.
   void PutNxDomain(const dns::Name& qname, sim::TimeUs expires_at);
 
@@ -89,8 +104,9 @@ class DnsCache {
   static std::uint64_t TaggedHash(const dns::Name& qname, std::uint32_t tag);
   [[nodiscard]] std::uint32_t Find(const dns::Name& qname,
                                    std::uint32_t tag) const;
-  void PutTagged(const dns::Name& qname, std::uint32_t tag,
-                 CachedAnswer answer);
+  void PutTagged(const dns::Name& qname, std::uint32_t tag, dns::Rcode rcode,
+                 std::span<const dns::ResourceRecord> records,
+                 sim::TimeUs expires_at);
   [[nodiscard]] Entry* GetTagged(const dns::Name& qname, std::uint32_t tag,
                                  sim::TimeUs now);
   void LruUnlink(std::uint32_t index);
@@ -98,6 +114,9 @@ class DnsCache {
   void Touch(std::uint32_t index);
   void EraseEntry(std::uint32_t index);
   void EvictIfNeeded();
+  /// Frees entries from the LRU tail while the tail has expired at `now`
+  /// (non-retaining caches only).
+  void ReclaimExpiredTail(sim::TimeUs now);
 
   std::size_t max_entries_;
   bool retain_expired_ = false;
@@ -125,15 +144,26 @@ struct ZoneEntry {
   sim::TimeUs dnskey_expires_at = 0;
 };
 
-/// Returned ZoneEntry pointers stay valid across later Puts (the resolver
-/// holds one across a recursive resolution that fills the cache): entries
-/// live in a deque and are overwritten in place on re-Put.
+/// Returned ZoneEntry pointers stay valid across later Puts at the same
+/// `now` (the resolver holds one across a recursive resolution that fills
+/// the cache): entries live in a deque and are overwritten in place on
+/// re-Put, and a handed-out entry is live at `now`, so the sweep below
+/// never frees it.
+///
+/// Expired entries are reclaimed in bulk: before the slot deque would
+/// grow, Put frees every slot that has expired at `now`, and the next
+/// sweep waits until the deque reaches twice the live count, so sweeping
+/// costs amortized O(1) per Put. As for DnsCache, the `now` passed to
+/// successive calls must not decrease; a swept entry would then only
+/// have been erased unseen by its next lookup or overwritten by its next
+/// Put, so lookups return what they would without the sweep.
 class InfraCache {
  public:
-  void Put(ZoneEntry entry);
+  void Put(ZoneEntry entry, sim::TimeUs now);
   [[nodiscard]] ZoneEntry* Get(const dns::Name& apex, sim::TimeUs now);
-  /// The entry for `apex` whether or not it has expired, without touching
-  /// the cache (inspection only); nullptr when absent.
+  /// The entry for `apex` whether or not it has expired (unless a sweep
+  /// has reclaimed it), without touching the cache (inspection only);
+  /// nullptr when absent.
   [[nodiscard]] const ZoneEntry* Peek(const dns::Name& apex) const;
 
   /// Deepest cached zone at-or-above `qname` that has not expired; the
@@ -155,11 +185,18 @@ class InfraCache {
   [[nodiscard]] ZoneEntry* GetView(std::uint64_t hash,
                                    const std::uint8_t* flat, std::size_t size,
                                    sim::TimeUs now);
+  void Erase(std::uint64_t hash, std::uint32_t index);
+  void SweepExpired(sim::TimeUs now);
+
+  /// Smallest deque size at which Put sweeps; keeps the many small
+  /// per-engine caches from sweeping at all.
+  static constexpr std::size_t kMinSweep = 64;
 
   std::deque<Slot> slots_;  ///< Deque: stable addresses across Puts.
   std::vector<std::uint32_t> free_;
   base::OpenTable table_;
   std::size_t count_ = 0;
+  std::size_t sweep_at_ = kMinSweep;  ///< Deque size that triggers a sweep.
 };
 
 /// Aggressive NSEC cache (RFC 8198): validated denial *ranges* from signed

@@ -99,12 +99,9 @@ RecursiveResolver::Result RecursiveResolver::Resolve(const dns::Name& qname,
       config_.servfail_cache_ttl > 0) {
     // RFC 2308 §7: cache the failure briefly so a broken domain does not
     // trigger a full (expensive) re-resolution per client query.
-    CachedAnswer failure;
-    failure.rcode = dns::Rcode::kServFail;
-    failure.expires_at =
-        now + std::min<sim::TimeUs>(config_.servfail_cache_ttl,
-                                    300ull * sim::kMicrosPerSecond);
-    cache_.Put(qname, qtype, std::move(failure));
+    cache_.Put(qname, qtype, dns::Rcode::kServFail, {},
+               now + std::min<sim::TimeUs>(config_.servfail_cache_ttl,
+                                           300ull * sim::kMicrosPerSecond));
   }
   return result;
 }
@@ -235,7 +232,7 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
         return result;  // glueless chase failed (cycle or budget)
       }
       dns::Name child_apex = child.apex;
-      infra_.Put(std::move(child));
+      infra_.Put(std::move(child), now);
       zone = infra_.Get(child_apex, now);
       if (zone == nullptr) return result;
       if (config_.validate_dnssec && zone->ds == ZoneEntry::Ds::kPresent) {
@@ -248,13 +245,10 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
 
     if (!response.answers.empty()) {
       if (is_final) {
-        CachedAnswer answer;
-        answer.rcode = dns::Rcode::kNoError;
-        answer.records = response.answers;
-        answer.expires_at = now + PositiveTtlFrom(response.answers);
+        cache_.Put(qname, qtype, dns::Rcode::kNoError, response.answers,
+                   now + PositiveTtlFrom(response.answers));
         result.rcode = dns::Rcode::kNoError;
         result.records = response.answers;
-        cache_.Put(qname, qtype, std::move(answer));
         return result;
       }
       // Intermediate minimized NS answered positively: the label exists;
@@ -265,10 +259,8 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
 
     // NODATA.
     if (is_final) {
-      CachedAnswer answer;
-      answer.rcode = dns::Rcode::kNoError;
-      answer.expires_at = now + NegativeTtlFrom(response);
-      cache_.Put(qname, qtype, std::move(answer));
+      cache_.Put(qname, qtype, dns::Rcode::kNoError, {},
+                 now + NegativeTtlFrom(response));
       result.rcode = dns::Rcode::kNoError;
       return result;
     }

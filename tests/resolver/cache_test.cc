@@ -7,18 +7,16 @@ namespace {
 
 dns::Name N(const char* text) { return *dns::Name::Parse(text); }
 
-CachedAnswer Answer(sim::TimeUs expires) {
-  CachedAnswer answer;
-  answer.rcode = dns::Rcode::kNoError;
-  answer.records.push_back(
-      dns::MakeA(N("x.nl"), net::Ipv4Address(1, 2, 3, 4), 300));
-  answer.expires_at = expires;
-  return answer;
+void PutA(DnsCache& cache, const dns::Name& qname, sim::TimeUs expires) {
+  const dns::ResourceRecord record =
+      dns::MakeA(N("x.nl"), net::Ipv4Address(1, 2, 3, 4), 300);
+  cache.Put(qname, dns::RrType::kA, dns::Rcode::kNoError, {&record, 1},
+            expires);
 }
 
 TEST(DnsCacheTest, HitWithinTtlMissAfter) {
   DnsCache cache(100);
-  cache.Put(N("x.nl"), dns::RrType::kA, Answer(1000));
+  PutA(cache, N("x.nl"), 1000);
   EXPECT_NE(cache.Get(N("x.nl"), dns::RrType::kA, 500), nullptr);
   EXPECT_EQ(cache.Get(N("x.nl"), dns::RrType::kA, 1000), nullptr);
   EXPECT_EQ(cache.Get(N("x.nl"), dns::RrType::kA, 2000), nullptr);
@@ -26,14 +24,14 @@ TEST(DnsCacheTest, HitWithinTtlMissAfter) {
 
 TEST(DnsCacheTest, TypeAndNameAreBothKeyed) {
   DnsCache cache(100);
-  cache.Put(N("x.nl"), dns::RrType::kA, Answer(1000));
+  PutA(cache, N("x.nl"), 1000);
   EXPECT_EQ(cache.Get(N("x.nl"), dns::RrType::kAaaa, 1), nullptr);
   EXPECT_EQ(cache.Get(N("y.nl"), dns::RrType::kA, 1), nullptr);
 }
 
 TEST(DnsCacheTest, CaseInsensitiveKeys) {
   DnsCache cache(100);
-  cache.Put(N("X.NL"), dns::RrType::kA, Answer(1000));
+  PutA(cache, N("X.NL"), 1000);
   EXPECT_NE(cache.Get(N("x.nl"), dns::RrType::kA, 1), nullptr);
 }
 
@@ -47,12 +45,12 @@ TEST(DnsCacheTest, NxDomainMatchesAnyType) {
 
 TEST(DnsCacheTest, LruEvictsOldestFirst) {
   DnsCache cache(3);
-  cache.Put(N("a.nl"), dns::RrType::kA, Answer(~0ull));
-  cache.Put(N("b.nl"), dns::RrType::kA, Answer(~0ull));
-  cache.Put(N("c.nl"), dns::RrType::kA, Answer(~0ull));
+  PutA(cache, N("a.nl"), ~0ull);
+  PutA(cache, N("b.nl"), ~0ull);
+  PutA(cache, N("c.nl"), ~0ull);
   // Touch a.nl so b.nl becomes the LRU victim.
   EXPECT_NE(cache.Get(N("a.nl"), dns::RrType::kA, 1), nullptr);
-  cache.Put(N("d.nl"), dns::RrType::kA, Answer(~0ull));
+  PutA(cache, N("d.nl"), ~0ull);
 
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_NE(cache.Get(N("a.nl"), dns::RrType::kA, 1), nullptr);
@@ -62,15 +60,15 @@ TEST(DnsCacheTest, LruEvictsOldestFirst) {
 
 TEST(DnsCacheTest, OverwriteRefreshesEntry) {
   DnsCache cache(10);
-  cache.Put(N("a.nl"), dns::RrType::kA, Answer(100));
-  cache.Put(N("a.nl"), dns::RrType::kA, Answer(5000));
+  PutA(cache, N("a.nl"), 100);
+  PutA(cache, N("a.nl"), 5000);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_NE(cache.Get(N("a.nl"), dns::RrType::kA, 1000), nullptr);
 }
 
 TEST(DnsCacheTest, TracksHitsAndMisses) {
   DnsCache cache(10);
-  cache.Put(N("a.nl"), dns::RrType::kA, Answer(1000));
+  PutA(cache, N("a.nl"), 1000);
   (void)cache.Get(N("a.nl"), dns::RrType::kA, 1);
   (void)cache.Get(N("a.nl"), dns::RrType::kA, 1);
   (void)cache.Get(N("b.nl"), dns::RrType::kA, 1);
@@ -83,15 +81,15 @@ TEST(InfraCacheTest, DeepestEnclosingWalksUp) {
   ZoneEntry root;
   root.apex = dns::Name{};
   root.expires_at = ~0ull;
-  infra.Put(root);
+  infra.Put(root, 0);
   ZoneEntry nl;
   nl.apex = N("nl");
   nl.expires_at = ~0ull;
-  infra.Put(nl);
+  infra.Put(nl, 0);
   ZoneEntry example;
   example.apex = N("example.nl");
   example.expires_at = ~0ull;
-  infra.Put(example);
+  infra.Put(example, 0);
 
   EXPECT_EQ(infra.DeepestEnclosing(N("www.example.nl"), 1)->apex,
             N("example.nl"));
@@ -104,7 +102,7 @@ TEST(InfraCacheTest, ExpiredEntriesAreDropped) {
   ZoneEntry nl;
   nl.apex = N("nl");
   nl.expires_at = 100;
-  infra.Put(nl);
+  infra.Put(nl, 0);
   EXPECT_NE(infra.Get(N("nl"), 50), nullptr);
   EXPECT_EQ(infra.Get(N("nl"), 100), nullptr);
   EXPECT_EQ(infra.size(), 0u);  // erased on expiry
@@ -116,9 +114,9 @@ TEST(InfraCacheTest, PutOverwritesByApex) {
   nl.apex = N("nl");
   nl.expires_at = ~0ull;
   nl.ds = ZoneEntry::Ds::kAbsent;
-  infra.Put(nl);
+  infra.Put(nl, 0);
   nl.ds = ZoneEntry::Ds::kPresent;
-  infra.Put(nl);
+  infra.Put(nl, 0);
   EXPECT_EQ(infra.size(), 1u);
   EXPECT_EQ(infra.Get(N("nl"), 1)->ds, ZoneEntry::Ds::kPresent);
 }
@@ -126,17 +124,17 @@ TEST(InfraCacheTest, PutOverwritesByApex) {
 
 TEST(DnsCacheTest, LruEvictionOrderIsExactUnderMixedTouches) {
   DnsCache cache(4);
-  cache.Put(N("a.nl"), dns::RrType::kA, Answer(~0ull));
-  cache.Put(N("b.nl"), dns::RrType::kA, Answer(~0ull));
-  cache.Put(N("c.nl"), dns::RrType::kA, Answer(~0ull));
-  cache.Put(N("d.nl"), dns::RrType::kA, Answer(~0ull));
+  PutA(cache, N("a.nl"), ~0ull);
+  PutA(cache, N("b.nl"), ~0ull);
+  PutA(cache, N("c.nl"), ~0ull);
+  PutA(cache, N("d.nl"), ~0ull);
   // Recency after touches: a > c > d > b (b is the victim, then d).
   EXPECT_NE(cache.Get(N("c.nl"), dns::RrType::kA, 1), nullptr);
   EXPECT_NE(cache.Get(N("a.nl"), dns::RrType::kA, 1), nullptr);
 
-  cache.Put(N("e.nl"), dns::RrType::kA, Answer(~0ull));
+  PutA(cache, N("e.nl"), ~0ull);
   EXPECT_EQ(cache.Get(N("b.nl"), dns::RrType::kA, 1), nullptr);
-  cache.Put(N("f.nl"), dns::RrType::kA, Answer(~0ull));
+  PutA(cache, N("f.nl"), ~0ull);
   EXPECT_EQ(cache.Get(N("d.nl"), dns::RrType::kA, 1), nullptr);
 
   EXPECT_EQ(cache.size(), 4u);
@@ -147,8 +145,8 @@ TEST(DnsCacheTest, LruEvictionOrderIsExactUnderMixedTouches) {
 
 TEST(DnsCacheTest, ServeStaleHitRefreshesRecencyUnderLru) {
   DnsCache cache(2, /*retain_expired=*/true);
-  cache.Put(N("a.nl"), dns::RrType::kA, Answer(1000));
-  cache.Put(N("b.nl"), dns::RrType::kA, Answer(1000));
+  PutA(cache, N("a.nl"), 1000);
+  PutA(cache, N("b.nl"), 1000);
 
   // Both expired: a plain Get misses but retains the entry, and the
   // expired-miss deliberately does not refresh recency.
@@ -163,7 +161,7 @@ TEST(DnsCacheTest, ServeStaleHitRefreshesRecencyUnderLru) {
   EXPECT_EQ(stale->rcode, dns::Rcode::kNoError);
   EXPECT_EQ(cache.stale_hits(), 1u);
 
-  cache.Put(N("c.nl"), dns::RrType::kA, Answer(~0ull));
+  PutA(cache, N("c.nl"), ~0ull);
   EXPECT_EQ(cache.GetStale(N("b.nl"), dns::RrType::kA, 2000, 5000), nullptr);
   EXPECT_NE(cache.GetStale(N("a.nl"), dns::RrType::kA, 2000, 5000), nullptr);
 
